@@ -22,42 +22,45 @@ from repro.models import (
     initial_marking_predicate,
 )
 from repro.smp import (
-    PassageTimeOptions,
-    passage_transform_direct,
-    passage_transform_vector,
+    SPointPolicy,
+    passage_transform_batch,
+    passage_transform_direct_batch,
+    source_weights,
 )
 
 S_POINTS = [0.25 + 0.9j, 0.12 + 3.1j, 0.5 + 7.4j]
+
+#: the pure iterative path: no point is routed to (or falls back on) sparse LU
+ITERATIVE_ONLY = SPointPolicy(predicted_iteration_limit=10**9, fallback_to_direct=False)
 
 
 def _voting_case(params: VotingParameters):
     kernel, graph = build_voting_kernel(params)
     targets = graph.states_where(all_voted_predicate(params))
-    return kernel, targets
+    alpha = source_weights(kernel, graph.states_where(initial_marking_predicate(params)))
+    return kernel, alpha, targets
 
 
 @pytest.mark.benchmark(group="ablation-iterative-vs-direct")
 @pytest.mark.parametrize("config", ["tiny", "small", "medium"])
 def test_iterative_vs_direct_per_s_point(benchmark, config, report):
     params = SCALED_CONFIGURATIONS[config]
-    kernel, targets = _voting_case(params)
+    kernel, alpha, targets = _voting_case(params)
     evaluator = kernel.evaluator()
 
     def iterative_all():
-        return [
-            passage_transform_vector(evaluator, targets, s, PassageTimeOptions())[0]
-            for s in S_POINTS
-        ]
+        values, _ = passage_transform_batch(
+            evaluator, alpha, targets, S_POINTS, policy=ITERATIVE_ONLY
+        )
+        return values
 
     iterative_results = benchmark.pedantic(iterative_all, rounds=1, iterations=1)
 
     start = time.perf_counter()
-    direct_results = [passage_transform_direct(evaluator, targets, s) for s in S_POINTS]
+    direct_results = passage_transform_direct_batch(evaluator, targets, S_POINTS) @ alpha
     direct_seconds = time.perf_counter() - start
 
-    worst = max(
-        float(np.max(np.abs(i - d))) for i, d in zip(iterative_results, direct_results)
-    )
+    worst = float(np.max(np.abs(iterative_results - direct_results)))
     _RESULTS[config] = (kernel.n_states, kernel.n_transitions, direct_seconds, worst)
 
     assert worst < 1e-6  # the two formulations solve the same equations
@@ -90,13 +93,15 @@ def test_iteration_count_grows_as_s_approaches_zero(benchmark, voting_kernel_sma
     paper flags for future convergence-bound work."""
     targets = [voting_kernel_small.n_states - 1]
     evaluator = voting_kernel_small.evaluator()
+    alpha = source_weights(voting_kernel_small, [0])
+    magnitudes = (3.0, 1.0, 0.3, 0.1, 0.03)
 
     def sweep():
-        iterations = {}
-        for magnitude in (3.0, 1.0, 0.3, 0.1, 0.03):
-            _, diag = passage_transform_vector(evaluator, targets, magnitude + 0.5j)
-            iterations[magnitude] = diag.iterations
-        return iterations
+        _, diags = passage_transform_batch(
+            evaluator, alpha, targets, [m + 0.5j for m in magnitudes],
+            policy=ITERATIVE_ONLY,
+        )
+        return {m: d.iterations for m, d in zip(magnitudes, diags)}
 
     iterations = benchmark.pedantic(sweep, rounds=1, iterations=1)
     lines = [

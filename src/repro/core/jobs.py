@@ -12,6 +12,7 @@ from __future__ import annotations
 import abc
 import hashlib
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from ..smp.passage import (
     passage_transform,
     passage_transform_batch,
 )
-from ..smp.transient import transient_transform, transient_transform_batch
+from ..smp.transient import transient_transform_batch
 
 __all__ = ["TransformJob", "PassageTimeJob", "TransientJob", "JobSpec"]
 
@@ -53,6 +54,9 @@ class TransformJob(abc.ABC):
     #: iterative/direct routing used by the batched path; ``None`` means the
     #: engine default (small-|s| points go to the sparse-LU solve)
     policy: SPointPolicy | None = None
+    #: numerical form of the transform, folded into :meth:`digest` when set
+    #: so checkpointed values of an earlier form are never mixed in
+    form: ClassVar[str] = ""
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float)
@@ -106,6 +110,8 @@ class TransformJob(abc.ABC):
         # The routing policy changes which points come back exact vs
         # truncated, so checkpoints must not be shared across policies.
         h.update(f"{self.options.epsilon}:{self.solver}:{self.policy!r}".encode())
+        if self.form:
+            h.update(f"form:{self.form}".encode())
         return h.hexdigest()[:32]
 
     # ----------------------------------------------------------------- API
@@ -201,18 +207,16 @@ class PassageTimeJob(TransformJob):
 class TransientJob(TransformJob):
     """Evaluates the transient-probability transform ``T*_{i->j}(s)``."""
 
+    #: Markov renewal form; the per-target Eq. 7 values it replaced differ
+    #: in their last digits, so they must not share checkpoints
+    form = "renewal"
+
     def kind(self) -> str:
         return "transient"
 
     def evaluate(self, s: complex) -> complex:
-        return transient_transform(
-            self.evaluator,
-            self.alpha,
-            self.targets,
-            complex(s),
-            self.options,
-            solver=self.solver,
-        )
+        values, _ = self.evaluate_batch([complex(s)])
+        return complex(values[0])
 
     def evaluate_batch(self, s_values) -> tuple[np.ndarray, np.ndarray]:
         s_values = np.asarray(s_values, dtype=complex).ravel()

@@ -261,7 +261,6 @@ class MultiprocessingBackend:
         ):
             if include_factored:
                 evaluator.factored().prewarm()
-                evaluator.factored().col_structure()
             if self.plane_store is not None:
                 return self.plane_store.export(
                     evaluator, include_factored=include_factored
@@ -308,19 +307,9 @@ class MultiprocessingBackend:
         policy = job.policy or SPointPolicy()
         evaluator = job.evaluator
         engine = policy.resolve_engine(evaluator)
+        block_size = policy.dispatch_block_points(evaluator, engine, len(s_list), workers)
         if self.block_size is not None:
-            block_size = min(
-                self.block_size,
-                policy.dispatch_block_points(
-                    evaluator, engine, len(s_list), workers,
-                    vector=job.kind() == "transient",
-                ),
-            )
-        else:
-            block_size = policy.dispatch_block_points(
-                evaluator, engine, len(s_list), workers,
-                vector=job.kind() == "transient",
-            )
+            block_size = min(self.block_size, block_size)
         include_factored = engine == "factored" and job.solver != "direct"
         handle = self._plane_handle(job, include_factored)
         spec = JobSpec.from_job(job)

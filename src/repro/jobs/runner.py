@@ -210,7 +210,6 @@ class JobRunner:
             size = self.block_points or policy.dispatch_block_points(
                 entry.evaluator, engine, len(s_list),
                 max(int(getattr(self.service, "workers", 1)), 1),
-                vector=job.kind() == "transient",
             )
             blocks = [s_list[i:i + size] for i in range(0, len(s_list), size)]
             if not state["planned"]:

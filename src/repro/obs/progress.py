@@ -14,6 +14,7 @@ accept ``progress=None`` and skip the calls.
 """
 from __future__ import annotations
 
+import math
 import sys
 import threading
 import time
@@ -161,7 +162,10 @@ def stderr_renderer(stream=None, min_interval: float = 0.1):
     ``min_interval`` seconds; always paints the final line with a newline.
     """
     stream = stream or sys.stderr
-    state = {"last": 0.0, "painted": False}
+    # -inf, not 0.0: time.monotonic() has an arbitrary origin and may sit
+    # below min_interval (a freshly booted host), which would drop the
+    # first paint.
+    state = {"last": -math.inf, "painted": False}
     is_tty = bool(getattr(stream, "isatty", lambda: False)())
 
     def _listener(snap: dict, final: bool) -> None:

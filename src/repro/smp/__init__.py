@@ -12,7 +12,7 @@ This package is the numerical heart of the reproduction:
 * :mod:`repro.smp.linear` — the classical direct linear solve (Eqs. 2–3),
   used as a validation baseline,
 * :mod:`repro.smp.transient` — transient state distributions via Pyke's
-  relations (Eqs. 6–7),
+  Markov renewal form of Eqs. 6–7,
 * :mod:`repro.smp.steady` — long-run SMP state probabilities (the t -> inf
   reference line of Fig. 7).
 """
@@ -27,12 +27,10 @@ from .passage import (
     SPointPolicy,
     passage_transform,
     passage_transform_batch,
-    passage_transform_vector,
-    passage_transform_vector_batch,
     ConvergenceDiagnostics,
 )
 from .linear import passage_transform_direct, passage_transform_direct_batch
-from .transient import transient_transform, transient_transform_batch, sojourn_lsts
+from .transient import transient_transform_batch, sojourn_lsts
 
 __all__ = [
     "SMPKernel",
@@ -52,12 +50,9 @@ __all__ = [
     "SPointPolicy",
     "passage_transform",
     "passage_transform_batch",
-    "passage_transform_vector",
-    "passage_transform_vector_batch",
     "ConvergenceDiagnostics",
     "passage_transform_direct",
     "passage_transform_direct_batch",
-    "transient_transform",
     "transient_transform_batch",
     "sojourn_lsts",
 ]

@@ -13,8 +13,8 @@ flight — while the s-dependence lives in an ``(n_s, n_dists)`` table of
 distribution transforms.  Peak memory is ``O(nnz + n_s·n)`` instead of the
 ``O(n_s·nnz)`` of the batched data materialisation.
 
-Concretely both product shapes reduce to a *pair expansion*.  For the
-row form ``v ← v @ U'(s)`` group edges by ``(distribution, source)`` pair::
+Concretely the row-form product ``v ← v @ U'(s)`` reduces to a *pair
+expansion*: group edges by ``(distribution, source)`` pair::
 
     expV[(d, i), t] = v[i, t] · lst_d(s_t)          (gather + scale)
     out[j, t]       = Σ_{e=(i,j,d)} p_e · expV[(d, i), t]     (one real SpMM)
@@ -23,9 +23,7 @@ The gather/scale works on a packed real block ``(n, 2k)`` ([Re | Im]
 halves), the sparse product is one real CSR×dense multiply accumulated in
 C by scipy's ``csr_matvecs``, and target-absorbing ``U'`` drops the pairs
 whose source is a target state (zeroing rows of ``U`` equals zeroing the
-corresponding components of ``v`` before the product).  The column form
-``U'(s) @ x`` groups by ``(distribution, destination)`` instead and zeroes
-target rows of the *output*.
+corresponding components of ``v`` before the product).
 
 When this engine wins — and when it does not
 --------------------------------------------
@@ -99,12 +97,9 @@ class _RowStructure:
         self.matrix.sort_indices()
 
 
+# Kept for perfbench/pool.py, whose pool-factored set-up calls col_structure().
 class _ColStructure:
-    """s-independent column-form expansion (``(dist, destination)`` pairs).
-
-    Target absorption zeroes *output rows*, so one structure serves every
-    target set.
-    """
+    """s-independent column-form expansion (``(dist, destination)`` pairs)."""
 
     __slots__ = ("pair_dst", "pair_dist", "matrix", "n_pairs")
 
@@ -329,14 +324,20 @@ def _scale_pairs(
 
 
 class FactoredRowOperator:
-    """Row-form stepper: ``v ← (v ⊙ non-target) @ U(s_t)`` for a whole block."""
+    """Row-form stepper: ``v ← (v ⊙ non-target) @ U(s_t)`` for a whole block.
+
+    Each step's contribution is read out on ``targets`` (default: the
+    absorbing states of ``target_mask``), summed plainly or, given
+    ``weights`` of shape ``(width, targets.size)``, weighted per point.
+    """
 
     engine = "factored"
 
-    def __init__(self, factored, s_block, target_mask, alpha):
+    def __init__(self, factored, s_block, target_mask, alpha, targets=None, weights=None):
         self.factored = factored
         self.n = factored.kernel.n_states
-        self.targets = np.flatnonzero(target_mask)
+        self.targets = np.flatnonzero(target_mask) if targets is None else targets
+        self._weights = weights
         self.structure = factored.row_structure(target_mask)
         self.lst = factored.lst_grid(s_block)  # (k, D)
         self.width = int(np.asarray(s_block).size)
@@ -364,8 +365,12 @@ class FactoredRowOperator:
         self._state, self._out = self._out, self._state
 
     def target_totals(self) -> np.ndarray:
-        sums = self._state[self.targets].sum(axis=0)
-        return sums[: self.width] + 1j * sums[self.width :]
+        k = self.width
+        picked = self._state[self.targets]
+        if self._weights is None:
+            sums = picked.sum(axis=0)
+            return sums[:k] + 1j * sums[k:]
+        return ((picked[:, :k] + 1j * picked[:, k:]) * self._weights.T).sum(axis=0)
 
     def abs_sums(self) -> np.ndarray:
         k = self.width
@@ -382,101 +387,11 @@ class FactoredRowOperator:
             self._state[:, np.concatenate((keep, k + keep))]
         )
         self.lst = self.lst[keep]
+        if self._weights is not None:
+            self._weights = self._weights[keep]
         pair_dist = self.structure.pair_dist
         self._d_re = np.ascontiguousarray(self.lst.real[:, pair_dist].T)
         self._d_im = np.ascontiguousarray(self.lst.imag[:, pair_dist].T)
         self.width = keep.size
         self._scratch = np.empty((self.structure.n_pairs, 2 * self.width))
         self._out = np.empty((self.n, 2 * self.width))
-
-
-class FactoredColOperator:
-    """Column-form stepper: ``term ← U'(s_t) @ term`` plus accumulator."""
-
-    engine = "factored"
-
-    def __init__(self, factored, s_block, target_mask):
-        self.factored = factored
-        self.n = factored.kernel.n_states
-        self.target_mask = target_mask
-        self.targets = np.flatnonzero(target_mask)
-        self.structure = factored.col_structure()
-        self.lst = factored.lst_grid(s_block)
-        self.lst_full = self.lst  # survives shrinking; indexed by block position
-        self.width = int(np.asarray(s_block).size)
-        pair_dist = self.structure.pair_dist
-        self._d_re = np.ascontiguousarray(self.lst.real[:, pair_dist].T)
-        self._d_im = np.ascontiguousarray(self.lst.imag[:, pair_dist].T)
-        self._term: np.ndarray | None = None
-        self._acc: np.ndarray | None = None
-        self._scratch = np.empty((self.structure.n_pairs, 2 * self.width))
-        self._out = np.empty((self.n, 2 * self.width))
-
-    def start(self) -> None:
-        k = self.width
-        self._term = np.zeros((self.n, 2 * k))
-        self._term[self.targets, :k] = 1.0
-        self._acc = self._term.copy()
-
-    def _apply(self, block: np.ndarray, d_re, d_im, width: int, *, absorbing: bool) -> None:
-        gathered = block[self.structure.pair_dst]
-        scratch = self._scratch[:, : 2 * width]
-        _scale_pairs(gathered, d_re, d_im, scratch, width)
-        out = self._out[:, : 2 * width]
-        out[:] = 0.0
-        _spmm_accumulate(self.structure.matrix, scratch, out)
-        if absorbing:
-            out[self.targets] = 0.0
-
-    def step(self) -> None:
-        self._apply(self._term, self._d_re, self._d_im, self.width, absorbing=True)
-        self._term, self._out = self._out[:, : 2 * self.width], self._term
-        self._acc += self._term
-
-    def max_abs(self) -> np.ndarray:
-        k = self.width
-        return np.hypot(self._term[:, :k], self._term[:, k:]).max(axis=0)
-
-    def take_acc(self, positions: np.ndarray) -> np.ndarray:
-        """Accumulators of the given (current-width) columns as ``(m, n)`` complex."""
-        k = self.width
-        return (self._acc[:, positions] + 1j * self._acc[:, k + positions]).T.copy()
-
-    def zero_points(self, positions: np.ndarray) -> None:
-        self._term[:, positions] = 0.0
-        self._term[:, self.width + positions] = 0.0
-
-    def shrink(self, live: np.ndarray) -> None:
-        keep = np.flatnonzero(live)
-        k = self.width
-        cols = np.concatenate((keep, k + keep))
-        self._term = np.ascontiguousarray(self._term[:, cols])
-        self._acc = np.ascontiguousarray(self._acc[:, cols])
-        self.lst = self.lst[keep]
-        pair_dist = self.structure.pair_dist
-        self._d_re = np.ascontiguousarray(self.lst.real[:, pair_dist].T)
-        self._d_im = np.ascontiguousarray(self.lst.imag[:, pair_dist].T)
-        self.width = keep.size
-        self._scratch = np.empty((self.structure.n_pairs, 2 * self.width))
-        self._out = np.empty((self.n, 2 * self.width))
-
-    def apply_u(self, rows: np.ndarray, block_positions: np.ndarray) -> np.ndarray:
-        """Full (non-absorbing) ``U(s) @ acc`` for collected accumulators.
-
-        ``rows`` is ``(m, n)`` complex; ``block_positions`` gives each row's
-        position in the *original* s-block so the right transforms scale it.
-        """
-        if rows.size == 0:
-            return rows
-        m = rows.shape[0]
-        block = _pack(rows.real.T, rows.imag.T)  # (n, 2m)
-        lst = self.lst_full[block_positions]
-        pair_dist = self.structure.pair_dist
-        d_re = np.ascontiguousarray(lst.real[:, pair_dist].T)
-        d_im = np.ascontiguousarray(lst.imag[:, pair_dist].T)
-        gathered = block[self.structure.pair_dst]
-        scratch = np.empty((self.structure.n_pairs, 2 * m))
-        _scale_pairs(gathered, d_re, d_im, scratch, m)
-        out = np.zeros((self.n, 2 * m))
-        _spmm_accumulate(self.structure.matrix, scratch, out)
-        return (out[:, :m] + 1j * out[:, m:]).T.copy()

@@ -412,8 +412,8 @@ class _EvaluatorCache:
 class _BatchLRU:
     """A handful of recent ``U(s)`` data grids, keyed by the grid bytes.
 
-    One slot covers the transient computation (which re-requests the same
-    grid once per target state); a long-lived analysis service additionally
+    One slot covers a block whose sojourn transforms and solve request the
+    same grid; a long-lived analysis service additionally
     interleaves *measures* on one shared evaluator — density, CDF and
     quantile-refinement requests that alternate between a few distinct
     grids — so a short LRU keeps those from evicting each other.  Grids
@@ -577,10 +577,9 @@ class UEvaluator:
         across the batch.  The result is assembled in s-chunks bounded by
         :attr:`batch_fill_bytes` (optionally straight into ``out``), so the
         build never allocates beyond the result itself; results small enough
-        to be worth retaining are cached (see :class:`_BatchLRU`) — the
-        transient computation re-requests the same grid once per target
-        state, and measures sharing one evaluator alternate between a few
-        grids.
+        to be worth retaining are cached (see :class:`_BatchLRU`) — a
+        block's sojourn transforms and its solve request the same grid, and
+        measures sharing one evaluator alternate between a few grids.
 
         The *result* still scales as ``O(n_s · nnz)``: callers handling
         large kernels should block their s-grid (see
@@ -676,15 +675,15 @@ class UEvaluator:
             self._csc_rows = self._csr_rows[order]
         return self._csc_order, self._csc_indptr, self._csc_rows
 
-    def block_diag_matrix(self, data_batch: np.ndarray, *, transpose: bool = False):
-        """``block_diag(M(s_1), ..., M(s_k))`` as one CSR matrix.
+    def block_diag_matrix(self, data_batch: np.ndarray):
+        """``block_diag(M(s_1)^T, ..., M(s_k)^T)`` as one CSR matrix.
 
         The batched iterative loops run one C-level sparse matvec per
         iteration on this operator instead of ``k`` separate products (or a
         Python-level gather/segment-sum), which is what makes grid-sized
         batches cheaper than the scalar loop even when each point converges
-        quickly.  With ``transpose=True`` the blocks are ``M(s_t)^T``, so a
-        single matvec computes every row-form product ``v_t @ M(s_t)``.
+        quickly.  The blocks are transposed, so a single matvec computes
+        every row-form product ``v_t @ M(s_t)``.
         """
         from scipy import sparse as _sparse
 
@@ -692,18 +691,10 @@ class UEvaluator:
         n = self.kernel.n_states
         offsets_e = (np.arange(k, dtype=np.int64) * nnz)[:, None]
         offsets_s = (np.arange(k, dtype=np.int64) * n)[:, None]
-        if transpose:
-            order, indptr, rows = self._csc_structure()
-            data = data_batch[:, order].ravel()
-            indices = (rows[None, :] + offsets_s).ravel()
-            block_indptr = indptr
-        else:
-            data = np.ascontiguousarray(data_batch).ravel()
-            indices = (self._indices[None, :] + offsets_s).ravel()
-            block_indptr = self._indptr
-        big_indptr = np.append(
-            (block_indptr[None, :-1] + offsets_e).ravel(), k * nnz
-        )
+        order, indptr, rows = self._csc_structure()
+        data = data_batch[:, order].ravel()
+        indices = (rows[None, :] + offsets_s).ravel()
+        big_indptr = np.append((indptr[None, :-1] + offsets_e).ravel(), k * nnz)
         return _sparse.csr_matrix(
             (data, indices, big_indptr), shape=(k * n, k * n), copy=False
         )
@@ -729,13 +720,3 @@ class UEvaluator:
         starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_cols)) + 1))
         out[:, sorted_cols[starts]] = np.add.reduceat(contrib[:, order], starts, axis=1)
         return out
-
-    def matrix_vec_batch(self, data_batch: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Column-form batched product: ``out[t] = M(s_t) @ x[t]``.
-
-        Every state has at least one outgoing transition (enforced at kernel
-        construction), so the CSR row segments are all non-empty and a single
-        ``reduceat`` over ``indptr`` performs all row reductions at once.
-        """
-        contrib = data_batch * x[:, self._indices]
-        return np.add.reduceat(contrib, self._indptr[:-1], axis=1)

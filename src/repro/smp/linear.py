@@ -27,6 +27,7 @@ def passage_transform_direct_batch(
     s_values,
     *,
     u_data: np.ndarray | None = None,
+    rhs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve Eq. (3) for every s-point of a grid, sharing all symbolic set-up.
 
@@ -36,14 +37,23 @@ def passage_transform_direct_batch(
     CSC structure of ``A`` is assembled once per evaluator (see
     :meth:`UEvaluator.direct_solve_structure`); per s-point only the numeric
     data vector is refilled before the sparse LU factorisation.
+
+    ``rhs`` (``(n_s, n_states)``) replaces the target-column sums of Eq. (3)
+    as the right-hand sides; ``targets`` may then be empty, which solves
+    ``(I - U(s)) x = rhs[t]`` — the transient transform's renewal form.
     """
     evaluator = as_evaluator(kernel_or_evaluator)
     n = evaluator.kernel.n_states
-    mask = target_mask(n, targets)
+    if rhs is not None and np.size(targets) == 0:
+        mask = np.zeros(n, dtype=bool)
+    else:
+        mask = target_mask(n, targets)
     s_values = np.asarray(s_values, dtype=complex).ravel()
     out = np.empty((s_values.size, n), dtype=complex)
     if s_values.size == 0:
         return out
+    if rhs is not None and np.shape(rhs) != (s_values.size, n):
+        raise ValueError("rhs must have shape (n_s, n_states)")
 
     rows_u = evaluator._csr_rows
     cols_u = evaluator._indices
@@ -82,9 +92,16 @@ def passage_transform_direct_batch(
                     s_values[chunk_lo:hi], out=chunk_buffer[: hi - chunk_lo]
                 )
             data = chunk_data[t - chunk_lo]
-        b = np.zeros(n, dtype=complex)
-        b.real = np.bincount(rows_u[tgt_entries], weights=data.real[tgt_entries], minlength=n)
-        b.imag = np.bincount(rows_u[tgt_entries], weights=data.imag[tgt_entries], minlength=n)
+        if rhs is not None:
+            b = np.asarray(rhs[t], dtype=complex)
+        else:
+            b = np.zeros(n, dtype=complex)
+            b.real = np.bincount(
+                rows_u[tgt_entries], weights=data.real[tgt_entries], minlength=n
+            )
+            b.imag = np.bincount(
+                rows_u[tgt_entries], weights=data.imag[tgt_entries], minlength=n
+            )
         a_data = np.zeros(nnz_a, dtype=complex)
         a_data[diag_pos] = 1.0
         kept = data.copy()

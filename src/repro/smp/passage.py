@@ -12,14 +12,11 @@ evaluated with sparse vector–matrix products and truncated once successive
 terms fall below a tolerance in both real and imaginary parts (Eq. 11) —
 ``O(N^2 r)`` work in the worst case versus the ``O(N^3)`` of a direct solve.
 
-Two shapes of the computation are provided:
-
-* :func:`passage_transform` — the scalar ``alpha``-weighted transform
-  (row-vector accumulation; what the passage-time pipeline evaluates at each
-  s-point),
-* :func:`passage_transform_vector` — the full vector ``(L_1j(s), ..., L_Nj(s))``
-  for *every* source state (column-vector accumulation; what the transient
-  computation of Eq. (7) needs, one run per target state).
+:func:`passage_transform` accumulates the ``alpha``-weighted row vector
+``v_{k+1} = v_k U'`` — one sparse vector–matrix product per transition,
+however many target states there are.  The transient measure of
+:mod:`repro.smp.transient` runs the same row form with no absorbing states
+and a per-point weight vector read out in place of ``e``.
 
 Batched evaluation
 ------------------
@@ -61,9 +58,7 @@ __all__ = [
     "ConvergenceDiagnostics",
     "SPointPolicy",
     "passage_transform",
-    "passage_transform_vector",
     "passage_transform_batch",
-    "passage_transform_vector_batch",
 ]
 
 
@@ -240,23 +235,20 @@ class SPointPolicy:
             return "factored"
         return "batch"
 
-    def block_points(self, evaluator, engine: str, *, vector: bool = False) -> int:
+    def block_points(self, evaluator, engine: str) -> int:
         """s-points per block so the block working set fits the budget.
 
         ``batch`` blocks materialise ``O(block · nnz)`` complex data (the
         ``U``/``U'`` data, their magnitudes and the iteration operator);
         ``factored`` blocks hold ``O(block · (pairs + n))`` dense state and
-        never touch per-edge data.  ``vector`` adds the per-point
-        accumulator of the column form.
+        never touch per-edge data.
         """
         kernel = evaluator.kernel
         if engine == "factored":
             pairs = evaluator.factored().row_pair_count
-            per_point = 16 * (3 * pairs + (4 if vector else 3) * kernel.n_states)
+            per_point = 16 * (3 * pairs + 3 * kernel.n_states)
         else:
-            per_point = 64 * kernel.n_transitions + (
-                48 * kernel.n_states if vector else 0
-            )
+            per_point = 64 * kernel.n_transitions
         return max(1, int(self.max_block_bytes // max(per_point, 1)))
 
     def dispatch_block_points(
@@ -265,8 +257,6 @@ class SPointPolicy:
         engine: str,
         n_points: int,
         workers: int,
-        *,
-        vector: bool = False,
     ) -> int:
         """s-points per *dispatched* block when farming a grid out to workers.
 
@@ -277,8 +267,7 @@ class SPointPolicy:
         """
         workers = max(1, int(workers))
         spread_cap = max(1, -(-int(n_points) // (4 * workers)))
-        return max(1, min(self.block_points(evaluator, engine, vector=vector),
-                          spread_cap))
+        return max(1, min(self.block_points(evaluator, engine), spread_cap))
 
 
 def passage_transform(
@@ -350,59 +339,6 @@ def passage_transform(
     )
 
 
-def passage_transform_vector(
-    kernel_or_evaluator,
-    targets,
-    s: complex,
-    options: PassageTimeOptions | None = None,
-) -> tuple[np.ndarray, ConvergenceDiagnostics]:
-    """Evaluate the vector ``(L_{1->j}(s), ..., L_{N->j}(s))`` for every source.
-
-    This is the column-vector form of Eq. (9): the accumulator
-    ``acc_r = sum_{k=0}^{r-1} U'^k e`` is built by repeated sparse
-    matrix–vector products and the result is ``U acc_r``.  Because the row
-    sums of ``|U|`` never exceed one for ``Re(s) >= 0``, the change in the
-    result is bounded by the infinity norm of the current term, which is what
-    the convergence test monitors.
-    """
-    options = options or PassageTimeOptions()
-    evaluator = as_evaluator(kernel_or_evaluator)
-    n = evaluator.kernel.n_states
-    mask = target_mask(n, targets)
-    e = mask.astype(complex)
-
-    U = evaluator.u(s)
-    U_prime = evaluator.u_prime(s, mask)
-
-    term = e.copy()
-    acc = e.copy()
-    matvecs = 0
-    below = 0
-    converged = False
-    iterations = 0
-    for iteration in range(1, options.max_iterations + 1):
-        iterations = iteration
-        term = U_prime @ term
-        matvecs += 1
-        acc += term
-        delta = float(np.max(np.abs(term))) if term.size else 0.0
-        if delta < options.epsilon:
-            below += 1
-            if below >= options.consecutive:
-                converged = True
-                break
-        else:
-            below = 0
-    result = U @ acc
-    matvecs += 1
-    return np.asarray(result).ravel(), ConvergenceDiagnostics(
-        iterations=iterations,
-        converged=converged,
-        final_delta=float(np.max(np.abs(term))),
-        matvec_count=matvecs,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Batched evaluation: blocked s-grid, engine-agnostic iteration drivers.
 # ---------------------------------------------------------------------------
@@ -425,14 +361,20 @@ class _BatchRowOperator:
     block-diagonal sparse product (amortising the per-matvec Python cost);
     beyond that each point advances through its own sparse matvec, whose
     random-access window is a single ``n``-vector.
+
+    Each step's contribution is read out on ``targets`` (default: the
+    absorbing states of ``mask``), summed plainly or, given ``weights``
+    of shape ``(width, targets.size)``, weighted per point.
     """
 
     engine = "batch"
 
-    def __init__(self, evaluator, s_block, mask, alpha, u_data, up_data, policy):
+    def __init__(self, evaluator, s_block, mask, alpha, u_data, up_data, policy,
+                 targets=None, weights=None):
         self.evaluator = evaluator
         self.n = evaluator.kernel.n_states
-        self._targets = np.flatnonzero(mask)
+        self._targets = np.flatnonzero(mask) if targets is None else targets
+        self._weights = weights
         self._alpha = alpha
         self._u_data = u_data
         self._up = up_data
@@ -446,7 +388,7 @@ class _BatchRowOperator:
         if self._operator is not None or self._per_point is not None:
             return
         if self.width * self.n * 16 <= self._blockdiag_max:
-            self._operator = self.evaluator.block_diag_matrix(self._up, transpose=True)
+            self._operator = self.evaluator.block_diag_matrix(self._up)
         else:
             indptr, indices = self.evaluator._indptr, self.evaluator._indices
             shape = (self.n, self.n)
@@ -470,7 +412,10 @@ class _BatchRowOperator:
                 self.V[t] = self._per_point[t] @ self.V[t]
 
     def target_totals(self) -> np.ndarray:
-        return self.V[:, self._targets].sum(axis=1)
+        picked = self.V[:, self._targets]
+        if self._weights is None:
+            return picked.sum(axis=1)
+        return (picked * self._weights).sum(axis=1)
 
     def abs_sums(self) -> np.ndarray:
         return np.abs(self.V).sum(axis=1)
@@ -482,81 +427,12 @@ class _BatchRowOperator:
     def shrink(self, live: np.ndarray) -> None:
         self._up = self._up[live]
         self.V = self.V[live]
+        if self._weights is not None:
+            self._weights = self._weights[live]
         self.width = int(live.sum())
         self._live = np.ones(self.width, dtype=bool)
         self._operator = None
         self._per_point = None
-
-
-class _BatchColOperator:
-    """Column-form stepper on per-s-point complex CSR data."""
-
-    engine = "batch"
-
-    def __init__(self, evaluator, s_block, mask, u_data, up_data, policy):
-        self.evaluator = evaluator
-        self.n = evaluator.kernel.n_states
-        self.e = mask.astype(complex)
-        self._u_full = u_data
-        self._up = up_data
-        self.width = int(np.asarray(s_block).size)
-        self._live = np.ones(self.width, dtype=bool)
-        self._blockdiag_max = policy.blockdiag_max_bytes
-        self._operator = None
-        self._per_point = None
-
-    def _ensure_operator(self) -> None:
-        if self._operator is not None or self._per_point is not None:
-            return
-        if self.width * self.n * 16 <= self._blockdiag_max:
-            self._operator = self.evaluator.block_diag_matrix(self._up, transpose=False)
-        else:
-            indptr, indices = self.evaluator._indptr, self.evaluator._indices
-            shape = (self.n, self.n)
-            self._per_point = [
-                sparse.csr_matrix((self._up[t], indices, indptr), shape=shape)
-                for t in range(self.width)
-            ]
-
-    def start(self) -> None:
-        self._term = np.tile(self.e, (self.width, 1))
-        self._acc = self._term.copy()
-
-    def step(self) -> None:
-        self._ensure_operator()
-        if self._operator is not None:
-            self._term = (self._operator @ self._term.ravel()).reshape(self.width, self.n)
-            self._acc += self._term
-        else:
-            # Converged points' terms are exactly zero: skip their matvecs
-            # (and their no-op accumulator updates).
-            for t in np.flatnonzero(self._live):
-                self._term[t] = self._per_point[t] @ self._term[t]
-                self._acc[t] += self._term[t]
-
-    def max_abs(self) -> np.ndarray:
-        return np.abs(self._term).max(axis=1)
-
-    def take_acc(self, positions: np.ndarray) -> np.ndarray:
-        return self._acc[positions].copy()
-
-    def zero_points(self, positions: np.ndarray) -> None:
-        self._term[positions] = 0.0
-        self._live[positions] = False
-
-    def shrink(self, live: np.ndarray) -> None:
-        self._up = self._up[live]
-        self._term = self._term[live]
-        self._acc = self._acc[live]
-        self.width = int(live.sum())
-        self._live = np.ones(self.width, dtype=bool)
-        self._operator = None
-        self._per_point = None
-
-    def apply_u(self, rows: np.ndarray, block_positions: np.ndarray) -> np.ndarray:
-        if rows.size == 0:
-            return rows
-        return self.evaluator.matrix_vec_batch(self._u_full[block_positions], rows)
 
 
 def _drive_row(op, options: PassageTimeOptions):
@@ -614,81 +490,11 @@ def _drive_row(op, options: PassageTimeOptions):
     return values, iterations, deltas, converged
 
 
-def _drive_col(op, options: PassageTimeOptions, *, finalize_unconverged: bool = True):
-    """Advance a column-form block to convergence; shared by both engines.
-
-    Returns ``(rows, iterations, deltas, converged)`` where ``rows`` is the
-    ``(width, n)`` complex result ``U(s) acc`` per point.  Converged
-    accumulators are parked and hit with the final (non-absorbing) ``U(s)``
-    product in one batched sweep at the end.  With
-    ``finalize_unconverged=False`` points that hit the iteration cap skip
-    that final product and their rows are left unset — for callers that will
-    overwrite them with a direct fallback solve anyway.
-    """
-    width = op.width
-    n = op.n
-    iterations = np.full(width, options.max_iterations, dtype=np.int64)
-    deltas = np.zeros(width)
-    converged = np.zeros(width, dtype=bool)
-    pos_map = np.arange(width)
-    parked_pos: list[int] = []
-    parked_rows: list[np.ndarray] = []
-
-    op.start()
-    below = np.zeros(op.width, dtype=np.int64)
-    delta = np.full(op.width, np.inf)
-    live = np.ones(op.width, dtype=bool)
-    for iteration in range(1, options.max_iterations + 1):
-        op.step()
-        delta = op.max_abs()
-        below = np.where(delta < options.epsilon, below + 1, 0)
-        done = live & (below >= options.consecutive)
-        if done.any():
-            done_pos = np.flatnonzero(done)
-            taken = op.take_acc(done_pos)
-            for row, pos in zip(taken, done_pos):
-                orig = pos_map[pos]
-                iterations[orig] = iteration
-                deltas[orig] = float(delta[pos])
-                converged[orig] = True
-                parked_pos.append(int(orig))
-                parked_rows.append(row)
-            live &= ~done
-            n_live = int(live.sum())
-            if n_live == 0:
-                break
-            op.zero_points(done_pos)
-            if n_live <= op.width // 2:
-                keep = np.flatnonzero(live)
-                op.shrink(live)
-                below = below[keep]
-                delta = delta[keep]
-                pos_map = pos_map[keep]
-                live = np.ones(op.width, dtype=bool)
-    if live.any():
-        live_pos = np.flatnonzero(live)
-        if finalize_unconverged:
-            taken = op.take_acc(live_pos)
-            for row, pos in zip(taken, live_pos):
-                orig = pos_map[pos]
-                deltas[orig] = float(delta[pos])
-                parked_pos.append(int(orig))
-                parked_rows.append(row)
-        else:
-            for pos in live_pos:
-                deltas[pos_map[pos]] = float(delta[pos])
-    rows = np.empty((width, n), dtype=complex)
-    if parked_pos:
-        order = np.asarray(parked_pos, dtype=np.int64)
-        rows[order] = op.apply_u(np.asarray(parked_rows), order)
-    return rows, iterations, deltas, converged
-
-
 def _block_bounds(n_s: int, block: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + block, n_s)) for lo in range(0, n_s, block)]
 
 
-def _note_block(report, *, points, seconds, diags, engine=None) -> None:
+def _note_block(report, *, points, seconds, diags, engine) -> None:
     iterations = int(sum(d.iterations for d in diags))
     direct_solves = int(sum(d.direct_solves for d in diags))
     # Points returned truncated (no convergence, no direct fallback —
@@ -749,65 +555,88 @@ def passage_transform_batch(
     n = evaluator.kernel.n_states
     alpha = _check_alpha(alpha, n)
     mask = target_mask(n, targets)
-
     s_values = np.asarray(s_values, dtype=complex).ravel()
+    engine = policy.resolve_engine(evaluator) if s_values.size else policy.engine
+    return _solve_grid(
+        s_values, engine, policy.block_points(evaluator, engine), report,
+        lambda s_block: _passage_block(
+            evaluator, engine, alpha, mask, s_block, options, policy
+        ),
+    )
+
+
+def _solve_grid(s_values, engine, block, report, solve_block):
+    """Run ``solve_block`` over memory-bounded blocks of an s-grid.
+
+    The one blocked driver of both measures: each block gets an
+    ``s-block-solve`` span and one engine-labelled solve-block record.
+    """
     n_s = s_values.size
     values = np.empty(n_s, dtype=complex)
     diags: list[ConvergenceDiagnostics | None] = [None] * n_s
-    if n_s == 0:
-        if report is not None:
-            report.setdefault("engine", policy.engine)
-            report.setdefault("blocks", [])
-        return values, []
-
-    engine = policy.resolve_engine(evaluator)
     if report is not None:
         report["engine"] = engine
         report.setdefault("blocks", [])
-    block = policy.block_points(evaluator, engine)
     for lo, hi in _block_bounds(n_s, block):
         started = time.perf_counter()
         with _obs_trace.span("s-block-solve", points=hi - lo, engine=engine):
-            block_values, block_diags = _passage_block(
-                evaluator, engine, alpha, mask, targets, s_values[lo:hi],
-                options, policy,
-            )
+            block_values, block_diags = solve_block(s_values[lo:hi])
         values[lo:hi] = block_values
         diags[lo:hi] = block_diags
         _note_block(
             report, points=hi - lo, seconds=time.perf_counter() - started,
             diags=block_diags, engine=engine,
         )
-    return values, diags  # type: ignore[return-value]
+    return values, diags
 
 
-def _passage_block(evaluator, engine, alpha, mask, targets, s_block, options, policy):
-    """One memory-bounded block of the row-form batched computation."""
+def _passage_block(evaluator, engine, alpha, mask, s_block, options, policy,
+                   *, targets=None, weights=None, direct=False):
+    """One memory-bounded block of the row-form batched computation.
+
+    ``mask`` marks the absorbing states of ``U'``.  Without ``weights`` each
+    point's value is the passage transform ``sum_k alpha U U'^k e`` of the
+    target set ``mask``.  With ``weights`` (``(n_s, targets.size)``, zero
+    outside ``targets``) and an empty ``mask`` it is
+    ``alpha (I - U)^{-1} w_t = alpha . w_t + sum_k alpha U U^k w_t``, the
+    transient transform's renewal form before its ``1/s``.  Policy-routed
+    points, iteration-cap fallbacks and every point under ``direct=True``
+    are solved by sparse LU instead.
+    """
     from .linear import passage_transform_direct_batch
 
     n_s = s_block.size
     values = np.empty(n_s, dtype=complex)
     diags: list[ConvergenceDiagnostics | None] = [None] * n_s
+    if targets is None:
+        targets = np.flatnonzero(mask)
 
     u_data = up_data = None
-    if engine == "factored":
-        contraction = evaluator.factored().contraction(s_block, mask)
-    else:
+    if engine != "factored":
         u_data = evaluator.u_data_batch(s_block)
-        up_data = evaluator.u_prime_data_batch(s_block, mask)
-        contraction = evaluator.row_abs_sums(up_data).max(axis=1)
-
-    if policy.allow_direct(evaluator):
-        direct_mask = policy.route_direct(options.epsilon, contraction)
+    if direct:
+        direct_mask = np.ones(n_s, dtype=bool)
     else:
-        direct_mask = np.zeros(n_s, dtype=bool)
+        if engine == "factored":
+            contraction = evaluator.factored().contraction(s_block, mask)
+        else:
+            up_data = evaluator.u_prime_data_batch(s_block, mask) if mask.any() else u_data
+            contraction = evaluator.row_abs_sums(up_data).max(axis=1)
+        if policy.allow_direct(evaluator):
+            direct_mask = policy.route_direct(options.epsilon, contraction)
+        else:
+            direct_mask = np.zeros(n_s, dtype=bool)
     direct_idx = np.flatnonzero(direct_mask)
     iter_idx = np.flatnonzero(~direct_mask)
 
     def _solve_direct(indices, solver_label, iterations, matvecs):
         u_rows = u_data[indices] if u_data is not None else None
+        rhs = None
+        if weights is not None:
+            rhs = np.zeros((indices.size, mask.size), dtype=complex)
+            rhs[:, targets] = weights[indices]
         vecs = passage_transform_direct_batch(
-            evaluator, targets, s_block[indices], u_data=u_rows
+            evaluator, np.flatnonzero(mask), s_block[indices], u_data=u_rows, rhs=rhs
         )
         values[indices] = vecs @ alpha
         for idx in indices:
@@ -826,16 +655,21 @@ def _passage_block(evaluator, engine, alpha, mask, targets, s_block, options, po
 
     if iter_idx.size:
         s_iter = s_block[iter_idx]
+        w_iter = None if weights is None else weights[iter_idx]
         if engine == "factored":
             from .factored import FactoredRowOperator
 
-            op = FactoredRowOperator(evaluator.factored(), s_iter, mask, alpha)
+            op = FactoredRowOperator(
+                evaluator.factored(), s_iter, mask, alpha, targets, w_iter
+            )
         else:
             op = _BatchRowOperator(
                 evaluator, s_iter, mask, alpha,
-                u_data[iter_idx], up_data[iter_idx], policy,
+                u_data[iter_idx], up_data[iter_idx], policy, targets, w_iter,
             )
         iter_values, iterations, deltas, conv = _drive_row(op, options)
+        if w_iter is not None:
+            iter_values += w_iter @ alpha[targets]  # the k = 0 term alpha . w_t
         do_fallback = (
             not conv.all()
             and policy.fallback_to_direct
@@ -860,141 +694,3 @@ def _passage_block(evaluator, engine, alpha, mask, targets, s_block, options, po
                 options.max_iterations, options.max_iterations + 1,
             )
     return values, diags
-
-
-def passage_transform_vector_batch(
-    kernel_or_evaluator,
-    targets,
-    s_values,
-    options: PassageTimeOptions | None = None,
-    *,
-    policy: SPointPolicy | None = None,
-    report: dict | None = None,
-) -> tuple[np.ndarray, list[ConvergenceDiagnostics]]:
-    """Batched :func:`passage_transform_vector`: ``(n_s, n_states)`` at once.
-
-    Column-accumulation form used by the transient computation; the same
-    blocked scheduling, active-set convergence masking and iterative/direct
-    policy as :func:`passage_transform_batch` apply.  Note the result scales
-    as ``O(n_s · n_states)`` — callers on large kernels should keep their
-    s-grids blocked (the transient computation does).
-    """
-    options = options or PassageTimeOptions()
-    policy = policy or SPointPolicy()
-    evaluator = as_evaluator(kernel_or_evaluator)
-    n = evaluator.kernel.n_states
-    mask = target_mask(n, targets)
-
-    s_values = np.asarray(s_values, dtype=complex).ravel()
-    n_s = s_values.size
-    result = np.empty((n_s, n), dtype=complex)
-    diags: list[ConvergenceDiagnostics | None] = [None] * n_s
-    if n_s == 0:
-        if report is not None:
-            report.setdefault("engine", policy.engine)
-            report.setdefault("blocks", [])
-        return result, []
-
-    engine = policy.resolve_engine(evaluator)
-    if report is not None:
-        report["engine"] = engine
-        report.setdefault("blocks", [])
-    block = policy.block_points(evaluator, engine, vector=True)
-    for lo, hi in _block_bounds(n_s, block):
-        started = time.perf_counter()
-        with _obs_trace.span("s-block-solve", points=hi - lo, engine=engine,
-                             form="vector"):
-            block_rows, block_diags = _vector_block(
-                evaluator, engine, mask, targets, s_values[lo:hi], options, policy
-            )
-        result[lo:hi] = block_rows
-        diags[lo:hi] = block_diags
-        _note_block(
-            report, points=hi - lo, seconds=time.perf_counter() - started,
-            diags=block_diags, engine=engine,
-        )
-    return result, diags  # type: ignore[return-value]
-
-
-def _vector_block(evaluator, engine, mask, targets, s_block, options, policy):
-    """One memory-bounded block of the column-form batched computation."""
-    from .linear import passage_transform_direct_batch
-
-    n_s = s_block.size
-    n = evaluator.kernel.n_states
-    result = np.empty((n_s, n), dtype=complex)
-    diags: list[ConvergenceDiagnostics | None] = [None] * n_s
-
-    u_data = up_data = None
-    if engine == "factored":
-        contraction = evaluator.factored().contraction(s_block, mask)
-    else:
-        u_data = evaluator.u_data_batch(s_block)
-        up_data = evaluator.u_prime_data_batch(s_block, mask)
-        contraction = evaluator.row_abs_sums(up_data).max(axis=1)
-
-    if policy.allow_direct(evaluator):
-        direct_mask = policy.route_direct(options.epsilon, contraction)
-    else:
-        direct_mask = np.zeros(n_s, dtype=bool)
-    direct_idx = np.flatnonzero(direct_mask)
-    iter_idx = np.flatnonzero(~direct_mask)
-
-    if direct_idx.size:
-        u_rows = u_data[direct_idx] if u_data is not None else None
-        result[direct_idx] = passage_transform_direct_batch(
-            evaluator, targets, s_block[direct_idx], u_data=u_rows
-        )
-        for idx in direct_idx:
-            diags[idx] = ConvergenceDiagnostics(
-                iterations=0, converged=True, final_delta=0.0, matvec_count=0,
-                solver="direct", direct_solves=1, engine=engine,
-            )
-
-    if iter_idx.size:
-        s_iter = s_block[iter_idx]
-        if engine == "factored":
-            from .factored import FactoredColOperator
-
-            op = FactoredColOperator(evaluator.factored(), s_iter, mask)
-        else:
-            op = _BatchColOperator(
-                evaluator, s_iter, mask, u_data[iter_idx], up_data[iter_idx], policy
-            )
-        # When the policy would re-solve cap-hitting points directly, their
-        # final U(s)@acc product is wasted work — tell the driver to skip it.
-        will_fallback = policy.fallback_to_direct and policy.allow_direct(evaluator)
-        rows, iterations, deltas, conv = _drive_col(
-            op, options, finalize_unconverged=not will_fallback
-        )
-        do_fallback = not conv.all() and will_fallback
-        retried = ~conv if do_fallback else np.zeros(iter_idx.size, dtype=bool)
-        for pos in range(iter_idx.size):
-            if retried[pos]:
-                continue
-            idx = int(iter_idx[pos])
-            result[idx] = rows[pos]
-            diags[idx] = ConvergenceDiagnostics(
-                iterations=int(iterations[pos]),
-                converged=bool(conv[pos]),
-                final_delta=float(deltas[pos]),
-                matvec_count=int(iterations[pos]) + 1,
-                engine=engine,
-            )
-        if retried.any():
-            retry = iter_idx[retried]
-            u_rows = u_data[retry] if u_data is not None else None
-            result[retry] = passage_transform_direct_batch(
-                evaluator, targets, s_block[retry], u_data=u_rows
-            )
-            for idx in retry:
-                diags[idx] = ConvergenceDiagnostics(
-                    iterations=options.max_iterations,
-                    converged=True,
-                    final_delta=0.0,
-                    matvec_count=options.max_iterations + 1,
-                    solver="direct-fallback",
-                    direct_solves=1,
-                    engine=engine,
-                )
-    return result, diags

@@ -42,11 +42,10 @@ from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .. import faults
 from ..obs.metrics import note_corrupt_artifact
-from .factored import FactoredUEvaluator, _ColStructure
+from .factored import FactoredUEvaluator
 from .kernel import SMPKernel, UEvaluator, kernel_content_digest
 
 __all__ = [
@@ -83,16 +82,10 @@ def _collect_arrays(evaluator: UEvaluator, include_factored: bool) -> dict:
     if include_factored:
         factored = evaluator.factored()
         pair_src, pair_dist, pair_of_edge = factored._row_pairs()
-        col = factored.col_structure()
         arrays.update(
             pair_src=pair_src,
             pair_dist=pair_dist,
             pair_of_edge=pair_of_edge,
-            col_pair_dst=col.pair_dst,
-            col_pair_dist=col.pair_dist,
-            col_indptr=col.matrix.indptr,
-            col_indices=col.matrix.indices,
-            col_data=col.matrix.data,
             dist_row_sums=factored.dist_row_sums(),
         )
     return {name: np.ascontiguousarray(a) for name, a in arrays.items()}
@@ -208,15 +201,6 @@ class AttachedPlane:
             )
             factored._row_pair_count = int(v["pair_src"].size)
             factored._dist_row_sums = v["dist_row_sums"]
-            col = _ColStructure.__new__(_ColStructure)
-            col.pair_dst = v["col_pair_dst"]
-            col.pair_dist = v["col_pair_dist"]
-            col.n_pairs = int(v["col_pair_dst"].size)
-            col.matrix = sparse.csr_matrix(
-                (v["col_data"], v["col_indices"], v["col_indptr"]),
-                shape=(n, col.n_pairs), copy=False,
-            )
-            factored._col_structure = col
             self.evaluator._factored = factored
 
     def close(self) -> None:

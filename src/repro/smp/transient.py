@@ -7,95 +7,51 @@ transforms:
     T*_ii(s) = (1/s) (1 - h*_i(s)) / (1 - L_ii(s))
     T*_ij(s) = L_ij(s) T*_jj(s)                       (i != j)
 
-For a set of target states ``j`` (Eq. 7) this needs, per s-point, one
-passage-time vector computation per target state — each yields both
-``L_ik(s)`` for every source ``i`` and the cycle transform ``L_kk(s)``.
+Summed over a target set ``j`` (Eq. 7) they need one passage-time vector per
+target state.  The Markov renewal identity behind them (Pyke 1961) gives the
+same transform from a single solve with no absorbing states:
+
+    T*(s) = (1/s) alpha (I - U(s))^{-1} w(s),   w_k(s) = 1 - h*_k(s) on j, 0 off j
+
+— the probability weight of *being in* ``k`` is that of entering it and not
+yet having left.  This module evaluates that renewal form with the
+passage-time row-form machinery of :mod:`repro.smp.passage`: one row sum per
+s-point whatever the size of the target set.
 """
 from __future__ import annotations
 
-import time
+from dataclasses import replace
 
 import numpy as np
 
-from .kernel import as_evaluator
-from .linear import passage_transform_direct, passage_transform_direct_batch
+from .kernel import as_evaluator, target_mask
+
+# Kept for perfbench/inline.py, which patches this name in traced voting runs.
+from .linear import passage_transform_direct_batch as passage_transform_vector_batch  # noqa: F401
 from .passage import (
     ConvergenceDiagnostics,
     PassageTimeOptions,
     SPointPolicy,
     _check_alpha,
-    _note_block,
-    passage_transform_vector,
-    passage_transform_vector_batch,
+    _passage_block,
+    _solve_grid,
 )
 
-__all__ = ["transient_transform", "transient_transform_batch", "sojourn_lsts"]
+__all__ = ["transient_transform_batch", "sojourn_lsts"]
+
+#: The renewal sum runs to ``epsilon`` times this.  A passage sum's remaining
+#: mass ``||v_k||_1`` is absorbed at most once, so it bounds the tail; with no
+#: absorbing states that mass keeps revisiting the targets and the tail can be
+#: several times the last term.  Two more decades keep the renewal form at
+#: least as accurate as the per-target Eq. 7 sums on the bundled models, for
+#: about a quarter more iterations.
+RENEWAL_EPSILON_SCALE = 1e-2
 
 
 def sojourn_lsts(kernel_or_evaluator, s: complex) -> np.ndarray:
     """Per-state sojourn-time transforms ``h*_i(s) = sum_j r*_ij(s)``."""
     evaluator = as_evaluator(kernel_or_evaluator)
     return evaluator.sojourn_lst(s)
-
-
-def transient_transform(
-    kernel_or_evaluator,
-    alpha: np.ndarray,
-    targets,
-    s: complex,
-    options: PassageTimeOptions | None = None,
-    *,
-    solver: str = "iterative",
-) -> complex:
-    """Evaluate ``T*_{i -> j}(s)``, the transform of ``P(Z(t) in j)``.
-
-    Parameters
-    ----------
-    alpha:
-        Initial-state weighting (Eq. 5); a unit vector for a single source.
-    targets:
-        Target state set ``j``.
-    solver:
-        ``"iterative"`` uses the paper's algorithm for the per-target
-        passage-time vectors, ``"direct"`` uses the sparse linear solve.
-    """
-    evaluator = as_evaluator(kernel_or_evaluator)
-    if solver not in ("iterative", "direct"):
-        raise ValueError("solver must be 'iterative' or 'direct'")
-
-    s = complex(s)
-    if s == 0:
-        raise ValueError("the transient transform has a pole at s = 0; use Re(s) > 0")
-
-    n = evaluator.kernel.n_states
-    alpha = _check_alpha(alpha, n)
-
-    targets = np.unique(np.atleast_1d(np.asarray(targets, dtype=np.int64)))
-    if targets.size == 0:
-        raise ValueError("at least one target state is required")
-    if targets.min() < 0 or targets.max() >= n:
-        raise ValueError("target state index out of range")
-
-    h = evaluator.sojourn_lst(s)
-
-    source_states = np.where(np.abs(alpha) > 0)[0]
-    total = 0.0 + 0.0j
-    for k in targets:
-        if solver == "iterative":
-            l_vec, _ = passage_transform_vector(evaluator, [k], s, options)
-        else:
-            l_vec = passage_transform_direct(evaluator, [k], s)
-        lam_k = (1.0 - h[k]) / (1.0 - l_vec[k])
-        # Contribution of target k to each source i:
-        #   i == k : Lambda_k (the system is still in its first sojourn at k,
-        #            or has returned) — the delta term of Eq. (7),
-        #   i != k : Lambda_k * L_ik(s).
-        for i in source_states:
-            if i == k:
-                total += alpha[i] * lam_k
-            else:
-                total += alpha[i] * lam_k * l_vec[i]
-    return complex(total / s)
 
 
 def transient_transform_batch(
@@ -109,18 +65,26 @@ def transient_transform_batch(
     policy: SPointPolicy | None = None,
     report: dict | None = None,
 ) -> tuple[np.ndarray, list[ConvergenceDiagnostics]]:
-    """Evaluate ``T*_{i->j}(s)`` at every point of an s-grid in one sweep.
+    """Evaluate ``T*_{i->j}(s)``, the transform of ``P(Z(t) in j)``, over an s-grid.
 
-    Batched counterpart of :func:`transient_transform`: the per-target
-    passage-time vectors of Eq. (7) are computed with
-    :func:`passage_transform_vector_batch` (or the batched direct solve), so
-    the sojourn transforms and each iteration's sparse products are shared by
-    the whole grid.  The s-grid is processed in memory-bounded blocks
-    (outermost, so every target of a block reuses its cached transform
-    data).  Returns the values plus one aggregated
-    :class:`ConvergenceDiagnostics` per s-point (matvec counts summed over
-    the target states, used by backends to apportion wall-clock time).
+    Parameters
+    ----------
+    alpha:
+        Initial-state weighting (Eq. 5); a unit vector for a single source.
+    targets:
+        Target state set ``j``.
+    solver:
+        ``"iterative"`` runs the paper's row-form sum (with the
+        :class:`SPointPolicy` routing hard points to sparse LU);
+        ``"direct"`` solves ``(I - U(s)) x = w(s)`` by sparse LU at every
+        point.
+
+    The grid is processed in the same memory-bounded blocks, spans and
+    solve-block records as :func:`~repro.smp.passage.passage_transform_batch`.
+    Returns the values plus one :class:`ConvergenceDiagnostics` per s-point.
     """
+    options = options or PassageTimeOptions()
+    options = replace(options, epsilon=options.epsilon * RENEWAL_EPSILON_SCALE)
     evaluator = as_evaluator(kernel_or_evaluator)
     if solver not in ("iterative", "direct"):
         raise ValueError("solver must be 'iterative' or 'direct'")
@@ -131,89 +95,25 @@ def transient_transform_batch(
 
     n = evaluator.kernel.n_states
     alpha = _check_alpha(alpha, n)
-
-    targets = np.unique(np.atleast_1d(np.asarray(targets, dtype=np.int64)))
-    if targets.size == 0:
-        raise ValueError("at least one target state is required")
-    if targets.min() < 0 or targets.max() >= n:
-        raise ValueError("target state index out of range")
-
-    n_s = s_values.size
-    if n_s == 0:
-        return np.empty(0, dtype=complex), []
+    targets = np.flatnonzero(target_mask(n, targets))
+    no_absorption = np.zeros(n, dtype=bool)
 
     policy = policy or SPointPolicy()
-    engine = policy.resolve_engine(evaluator)
-    if report is not None:
-        report["engine"] = engine
-        report.setdefault("blocks", [])
-    # The explicit direct solver materialises O(block · nnz) data whatever
-    # engine the policy resolved, so its blocks must use the batch sizing —
-    # factored-sized blocks would blow the memory budget on dense kernels.
-    sizing_engine = "batch" if solver == "direct" else engine
-    block = policy.block_points(evaluator, sizing_engine, vector=True)
+    engine = policy.resolve_engine(evaluator) if s_values.size else policy.engine
+    # The direct solver materialises O(block · nnz) data whatever engine the
+    # policy resolved, so its blocks must use the batch sizing — factored-
+    # sized blocks would blow the memory budget on dense kernels.
+    block = policy.block_points(evaluator, "batch" if solver == "direct" else engine)
 
-    source_states = np.where(np.abs(alpha) > 0)[0]
-    weights = alpha[source_states]
-
-    values = np.empty(n_s, dtype=complex)
-    diags: list[ConvergenceDiagnostics | None] = [None] * n_s
-    for lo in range(0, n_s, block):
-        hi = min(lo + block, n_s)
-        started = time.perf_counter()
-        s_block = s_values[lo:hi]
+    def solve_block(s_block):
         if engine == "factored":
             h = evaluator.factored().sojourn_lst_batch(s_block)
         else:
             h = evaluator.sojourn_lst_batch(s_block)
-
-        totals = np.zeros(hi - lo, dtype=complex)
-        matvec_totals = np.zeros(hi - lo, dtype=np.int64)
-        direct_totals = np.zeros(hi - lo, dtype=np.int64)
-        iterations_max = np.zeros(hi - lo, dtype=np.int64)
-        converged_all = np.ones(hi - lo, dtype=bool)
-        for k in targets:
-            if solver == "direct":
-                l_mat = passage_transform_direct_batch(
-                    evaluator, [k], s_block, u_data=evaluator.u_data_batch(s_block)
-                )
-                target_diags: list[ConvergenceDiagnostics] | None = None
-                direct_totals += 1
-            else:
-                l_mat, target_diags = passage_transform_vector_batch(
-                    evaluator, [k], s_block, options, policy=policy
-                )
-            lam = (1.0 - h[:, k]) / (1.0 - l_mat[:, k])
-            l_src = l_mat[:, source_states].copy()
-            k_pos = np.flatnonzero(source_states == k)
-            if k_pos.size:
-                # The delta term of Eq. (7): a source equal to the target
-                # contributes Lambda_k itself rather than Lambda_k L_kk(s).
-                l_src[:, k_pos[0]] = 1.0
-            totals += lam * (l_src @ weights)
-            if target_diags is not None:
-                for t, diag in enumerate(target_diags):
-                    matvec_totals[t] += diag.matvec_count
-                    direct_totals[t] += diag.direct_solves
-                    iterations_max[t] = max(iterations_max[t], diag.iterations)
-                    converged_all[t] &= diag.converged
-
-        values[lo:hi] = totals / s_block
-        block_diags = [
-            ConvergenceDiagnostics(
-                iterations=int(iterations_max[t]),
-                converged=bool(converged_all[t]),
-                final_delta=0.0,
-                matvec_count=int(matvec_totals[t]),
-                solver="direct" if direct_totals[t] and matvec_totals[t] == 0 else "iterative",
-                direct_solves=int(direct_totals[t]),
-                engine=engine,
-            )
-            for t in range(hi - lo)
-        ]
-        diags[lo:hi] = block_diags
-        _note_block(
-            report, points=hi - lo, seconds=time.perf_counter() - started,
-            diags=block_diags,
+        values, diags = _passage_block(
+            evaluator, engine, alpha, no_absorption, s_block, options, policy,
+            targets=targets, weights=1.0 - h[:, targets], direct=solver == "direct",
         )
-    return values, diags  # type: ignore[return-value]
+        return values / s_block, diags
+
+    return _solve_grid(s_values, engine, block, report, solve_block)

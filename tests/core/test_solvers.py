@@ -140,6 +140,30 @@ class TestTransientSolver:
         other = PassageTimeSolver(ctmc_kernel, sources=[0], targets=[0]).job
         assert other.digest() != p.digest()
 
+    def test_transient_digest_carries_the_numerical_form(self, ctmc_kernel):
+        """Checkpoints keyed by a transient digest must not mix values of
+        another numerical form (the per-target Eq. 7 solves) into the grid."""
+        from repro.core.jobs import JobSpec
+
+        class UntaggedTransientJob(TransientJob):
+            form = ""
+
+        job = TransientSolver(ctmc_kernel, sources=[0], targets=[1]).job
+        untagged = UntaggedTransientJob(
+            kernel=job.kernel, alpha=job.alpha, targets=job.targets
+        )
+        assert job.form == "renewal"
+        assert job.digest() != untagged.digest()
+        # the tag survives the worker round trip
+        assert JobSpec.from_job(job).build(job.evaluator).digest() == job.digest()
+
+    def test_transient_evaluate_is_a_one_point_batch(self, ctmc_kernel):
+        job = TransientSolver(ctmc_kernel, sources=[0], targets=[1]).job
+        s = 1.0 + 2.0j
+        batch, _ = job.evaluate_batch([s, 3.0 - 1.0j])
+        assert job.evaluate(s) == batch[0]
+        assert job.last_report["blocks"][0]["points"] == 1
+
     def test_job_pickles_without_evaluator(self, ctmc_kernel):
         import pickle
 

@@ -151,6 +151,20 @@ class TestStderrRenderer:
         assert "2/4 blocks" not in out
         assert "4/4 blocks" in out
 
+    def test_first_paint_survives_a_small_monotonic_clock(self, monkeypatch):
+        """A host whose monotonic clock reads below min_interval (a fresh
+        boot) must still paint the first line."""
+        import repro.obs.progress as progress
+
+        monkeypatch.setattr(progress.time, "monotonic", lambda: 0.05)
+        stream = io.StringIO()
+        listener = stderr_renderer(stream, min_interval=0.1)
+        listener(self._snap(), False)
+        listener(self._snap(blocks_done=2), False)  # throttled away
+        out = stream.getvalue()
+        assert "1/4 blocks" in out
+        assert "2/4 blocks" not in out
+
     def test_tty_repaints_in_place(self):
         class Tty(io.StringIO):
             def isatty(self):

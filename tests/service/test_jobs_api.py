@@ -10,6 +10,8 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro import faults
+from repro.faults import FaultPlan
 from repro.jobs import TenantQuotas
 from repro.service import AnalysisService, ServiceClient, ServiceClientError, create_server
 from repro.service.client import _ConnectionFailed
@@ -170,13 +172,14 @@ class TestTenancy:
 
     def test_active_jobs_quota_is_per_tenant_429(self, onoff_spec):
         service = AnalysisService(quotas=TenantQuotas(max_active_jobs=1))
-        with _serve(service) as url:
+        # hold the first job in its solve so it is still active when the
+        # second submission arrives (submit() restarts a stopped runner)
+        hold = FaultPlan().rule("service.gather", "delay", seconds=1.0, limit=1)
+        with faults.active(hold), _serve(service) as url:
             alice = ServiceClient(url, tenant="alice")
             bob = ServiceClient(url, tenant="bob")
             model = alice.register_model(onoff_spec)["model"]
             bob.register_model(onoff_spec)
-            # freeze the runner so submitted jobs stay queued
-            service._runner.stop()
             submit = dict(model=model, source="on == 2", target="on == 0",
                           t_points=[1.0])
             alice.submit("passage", **submit)

@@ -32,3 +32,22 @@ def random_kernel(rng: np.random.Generator, n_states: int, density: float = 0.35
         for w, j in zip(weights, sorted(successors)):
             b.add_transition(i, j, float(w), dists[int(rng.integers(0, len(dists)))])
     return b.build()
+
+
+def row_form_vector(kernel, targets, s):
+    """``(L_{1->j}(s), ..., L_{N->j}(s))`` by one row-form passage sum per source.
+
+    Returns the vector and whether every sum converged.
+    """
+    from repro.smp import passage_transform
+
+    evaluator = kernel.evaluator()
+    n = kernel.n_states
+    values = np.empty(n, dtype=complex)
+    converged = True
+    for i in range(n):
+        unit = np.zeros(n)
+        unit[i] = 1.0
+        values[i], diag = passage_transform(evaluator, unit, targets, s)
+        converged &= diag.converged
+    return values, converged

@@ -33,13 +33,11 @@ from repro.smp import (
     passage_transform_batch,
     passage_transform_direct,
     passage_transform_direct_batch,
-    passage_transform_vector,
-    passage_transform_vector_batch,
     source_weights,
-    transient_transform,
     transient_transform_batch,
 )
 from tests.smp.conftest import random_kernel
+from tests.smp.eq7 import exact_transient_transform
 
 # One representative of every distribution family shipped with the library.
 FAMILIES = {
@@ -109,19 +107,24 @@ def test_direct_batch_matches_scalar_direct():
 
 
 def test_vector_batch_matches_scalar_on_random_kernels():
+    """The full vector ``(L_{1->j}, ..., L_{N->j})`` by one batched row-form
+    sum per source matches the scalar loop point by point."""
     for seed in range(5):
         kernel = random_kernel(np.random.default_rng(seed), 4 + seed * 2)
         target = [kernel.n_states - 1]
-        batch, diags = passage_transform_vector_batch(
-            kernel, target, S_GRID, policy=ITERATIVE_ONLY
-        )
-        for t, s in enumerate(S_GRID):
-            scalar, scalar_diag = passage_transform_vector(kernel, target, complex(s))
-            assert np.allclose(batch[t], scalar, atol=1e-10)
-            assert diags[t].iterations == scalar_diag.iterations
+        for source in range(kernel.n_states):
+            alpha = source_weights(kernel, [source])
+            batch, diags = passage_transform_batch(
+                kernel, alpha, target, S_GRID, policy=ITERATIVE_ONLY
+            )
+            for t, s in enumerate(S_GRID):
+                scalar, scalar_diag = passage_transform(kernel, alpha, target, complex(s))
+                assert batch[t] == pytest.approx(scalar, abs=1e-10)
+                assert diags[t].iterations == scalar_diag.iterations
 
 
 def test_transient_batch_matches_scalar(branching_kernel):
+    """A grid evaluated in one sweep equals the same points one at a time."""
     alpha = source_weights(branching_kernel, [0])
     targets = [3, 4]
     batch, diags = transient_transform_batch(
@@ -129,18 +132,21 @@ def test_transient_batch_matches_scalar(branching_kernel):
     )
     assert len(diags) == len(S_GRID)
     for t, s in enumerate(S_GRID):
-        scalar = transient_transform(branching_kernel, alpha, targets, complex(s))
-        assert batch[t] == pytest.approx(scalar, abs=1e-10)
+        single, single_diags = transient_transform_batch(
+            branching_kernel, alpha, targets, [s], policy=ITERATIVE_ONLY
+        )
+        assert batch[t] == pytest.approx(single[0], abs=1e-10)
+        assert diags[t].iterations == single_diags[0].iterations
 
 
 def test_transient_batch_direct_solver(ctmc_kernel):
     alpha = source_weights(ctmc_kernel, [0])
-    batch, _ = transient_transform_batch(
+    batch, diags = transient_transform_batch(
         ctmc_kernel, alpha, [1], S_GRID, solver="direct"
     )
-    for t, s in enumerate(S_GRID):
-        scalar = transient_transform(ctmc_kernel, alpha, [1], complex(s), solver="direct")
-        assert batch[t] == pytest.approx(scalar, abs=1e-9)
+    exact = exact_transient_transform(ctmc_kernel, alpha, [1], S_GRID)
+    assert np.abs(batch - exact).max() < 1e-12
+    assert all(d.solver == "direct" and d.direct_solves == 1 for d in diags)
 
 
 def test_transient_batch_rejects_s_zero(ctmc_kernel):

@@ -4,9 +4,10 @@ The distribution-factored engine must be a drop-in replacement for the
 batched per-edge-data engine, which itself matches the scalar loops: all
 three apply the same truncation rule, so values agree to float associativity
 (asserted at 1e-10) and iteration counts agree exactly.  Parity is checked
-across every bundled model family, both ``U`` product shapes (row/passage
-and column/vector, i.e. plain and target-absorbing kernels), real-dominated
-Euler grids and the complex Laguerre contour, plus the degenerate shapes the
+across every bundled model family, both row-form measures (the
+target-absorbing passage sum and the absorption-free transient renewal sum),
+real-dominated Euler grids and the complex Laguerre contour, plus the
+degenerate shapes the
 factoring must survive: a single-distribution kernel and a heavy-Mixture
 kernel where almost every edge carries a distinct distribution.
 """
@@ -38,8 +39,7 @@ from repro.smp import (
     SPointPolicy,
     passage_transform,
     passage_transform_batch,
-    passage_transform_vector,
-    passage_transform_vector_batch,
+    passage_transform_direct,
     source_weights,
     transient_transform_batch,
 )
@@ -135,17 +135,26 @@ def test_passage_parity_across_engines(name, grid_name, grid):
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_vector_parity_across_engines(name):
-    """Column form: both the absorbing U' iteration and the final full-U
-    product must agree between engines (this exercises u and u_prime)."""
+    """The vector ``(L_{1->j}, ..., L_{N->j})``, one row-form sum per source:
+    both engines agree and match the direct solve's vector."""
     kernel = KERNELS[name]
     targets = [kernel.n_states - 1]
-    fac, fac_diags = passage_transform_vector_batch(kernel, targets, EULER_GRID, policy=FACTORED)
-    bat, bat_diags = passage_transform_vector_batch(kernel, targets, EULER_GRID, policy=BATCH)
+    sources = range(0, kernel.n_states, max(1, kernel.n_states // 8))
+    fac = np.empty((len(sources), EULER_GRID.size), dtype=complex)
+    bat = np.empty_like(fac)
+    for row, source in enumerate(sources):
+        alpha = source_weights(kernel, [source])
+        fac[row], fac_diags = passage_transform_batch(
+            kernel, alpha, targets, EULER_GRID, policy=FACTORED
+        )
+        bat[row], bat_diags = passage_transform_batch(
+            kernel, alpha, targets, EULER_GRID, policy=BATCH
+        )
+        for df, db in zip(fac_diags, bat_diags):
+            assert df.iterations == db.iterations
     assert np.abs(fac - bat).max() < 1e-10
-    for df, db in zip(fac_diags, bat_diags):
-        assert df.iterations == db.iterations
-    scalar, _ = passage_transform_vector(kernel, targets, complex(EULER_GRID[3]))
-    assert np.abs(fac[3] - scalar).max() < 1e-10
+    direct = passage_transform_direct(kernel, targets, complex(EULER_GRID[3]))
+    assert np.abs(fac[:, 3] - direct[list(sources)]).max() < 1e-8
 
 
 @pytest.mark.parametrize("name", ["voting_tiny", "heavy_mixture", "single_distribution"])
@@ -169,8 +178,9 @@ def test_multi_target_absorbing_parity():
 
 
 def test_factored_u_product_against_matrix():
-    """The factored row/col operators reproduce dense U(s)/U'(s) products."""
-    from repro.smp.factored import FactoredColOperator, FactoredRowOperator
+    """The factored row operator reproduces dense U(s)/U'(s) products and
+    its weighted readout."""
+    from repro.smp.factored import FactoredRowOperator
 
     kernel = random_kernel(np.random.default_rng(3), 9)
     evaluator = kernel.evaluator()
@@ -193,17 +203,19 @@ def test_factored_u_product_against_matrix():
         got = row._state[:, t] + 1j * row._state[:, s_block.size + t]
         assert np.abs(got - expected).max() < 1e-12
 
-    col = FactoredColOperator(fac, s_block, mask)
-    col.start()
-    col.step()
-    e = mask.astype(complex)
+    targets = np.array([1, 4, 7])
+    weights = np.random.default_rng(4).normal(size=(3, 3)) * (1 + 1j)
+    free = np.zeros(kernel.n_states, dtype=bool)
+    weighted = FactoredRowOperator(
+        fac, s_block, free, np.asarray(alpha, dtype=complex), targets, weights
+    )
+    weighted.start()
+    weighted.step()  # one application of the full U
+    totals = weighted.target_totals()
     for t, s in enumerate(s_block):
-        expected = evaluator.u_prime(complex(s), mask) @ e
-        got = col._term[:, t] + 1j * col._term[:, s_block.size + t]
-        assert np.abs(got - expected).max() < 1e-12
-    rows = col.apply_u(np.tile(e, (3, 1)), np.arange(3))
-    for t, s in enumerate(s_block):
-        assert np.abs(rows[t] - evaluator.u(complex(s)) @ e).max() < 1e-12
+        u = evaluator.u(complex(s))
+        v1 = np.asarray(alpha @ u @ u).ravel()
+        assert abs(totals[t] - v1[targets] @ weights[t]) < 1e-12
 
 
 def test_blocked_grid_matches_unblocked():
@@ -243,8 +255,8 @@ def test_perpoint_submode_matches_blockdiag():
     v2, d2 = passage_transform_batch(kernel, alpha, targets, EULER_GRID, policy=perpoint)
     assert np.array_equal(v1, v2)
     assert [d.iterations for d in d1] == [d.iterations for d in d2]
-    m1, c1 = passage_transform_vector_batch(kernel, targets, EULER_GRID, policy=base)
-    m2, c2 = passage_transform_vector_batch(kernel, targets, EULER_GRID, policy=perpoint)
+    m1, c1 = transient_transform_batch(kernel, alpha, targets, EULER_GRID, policy=base)
+    m2, c2 = transient_transform_batch(kernel, alpha, targets, EULER_GRID, policy=perpoint)
     assert np.array_equal(m1, m2)
     assert [d.iterations for d in c1] == [d.iterations for d in c2]
 
@@ -293,7 +305,7 @@ def test_transient_direct_solver_uses_batch_block_sizing():
         kernel, alpha, [kernel.n_states - 1], grid,
         solver="direct", policy=policy, report=report,
     )
-    expected_block = policy.block_points(evaluator, "batch", vector=True)
+    expected_block = policy.block_points(evaluator, "batch")
     assert all(b["points"] <= expected_block for b in report["blocks"])
     iterative, _ = transient_transform_batch(
         kernel, alpha, [kernel.n_states - 1], grid, policy=policy

@@ -9,10 +9,9 @@ from repro.smp import (
     PassageTimeOptions,
     passage_transform,
     passage_transform_direct,
-    passage_transform_vector,
     source_weights,
 )
-from tests.smp.conftest import random_kernel
+from tests.smp.conftest import random_kernel, row_form_vector
 
 S_POINTS = [0.5 + 0.0j, 0.3 + 2.1j, 4.0 - 1.5j, 0.05 + 9.0j]
 
@@ -74,15 +73,15 @@ class TestAgainstClosedForms:
 class TestIterativeMatchesDirect:
     @pytest.mark.parametrize("s", S_POINTS)
     def test_vector_forms_agree(self, branching_kernel, s):
-        iterative, diag = passage_transform_vector(branching_kernel, [4], s)
+        iterative, converged = row_form_vector(branching_kernel, [4], s)
         direct = passage_transform_direct(branching_kernel, [4], s)
-        assert diag.converged
+        assert converged
         assert np.allclose(iterative, direct, atol=1e-8)
 
     @pytest.mark.parametrize("targets", [[0], [2, 4], [1, 2, 3]])
     def test_multiple_targets_agree(self, branching_kernel, targets):
         s = 0.6 + 1.7j
-        iterative, _ = passage_transform_vector(branching_kernel, targets, s)
+        iterative, _ = row_form_vector(branching_kernel, targets, s)
         direct = passage_transform_direct(branching_kernel, targets, s)
         assert np.allclose(iterative, direct, atol=1e-8)
 
@@ -91,9 +90,9 @@ class TestIterativeMatchesDirect:
             kernel = random_kernel(rng, n)
             targets = [int(rng.integers(0, n))]
             s = complex(rng.uniform(0.05, 2.0), rng.uniform(-5.0, 5.0))
-            iterative, diag = passage_transform_vector(kernel, targets, s)
+            iterative, converged = row_form_vector(kernel, targets, s)
             direct = passage_transform_direct(kernel, targets, s)
-            assert diag.converged
+            assert converged
             assert np.allclose(iterative, direct, atol=1e-7)
 
     def test_scalar_form_is_alpha_weighted_vector_form(self, branching_kernel):
